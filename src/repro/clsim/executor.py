@@ -3,14 +3,17 @@
 Two execution paths produce bit-identical results (the test suite checks
 this property-style):
 
-* ``workgroup`` — faithful: iterates the work-group grid; for each
-  work-group walks the algorithm's k-loop structure (BA's single loop,
-  PL's prologue/body/epilogue, DB's alternating half-buffers), gathers
-  tiles through the layout address functions, stages them through
-  simulated local-memory arrays when the plan says so, accumulates
-  through the work-item ownership permutations, and merges with
-  alpha/beta.  Index-arithmetic mistakes anywhere in the stack produce
-  numerically wrong output.
+* ``workgroup`` — faithful: gathers each A and B tile once per launch
+  through the layout address functions, its columns permuted into
+  work-item ownership order, and shares it among the work-groups that
+  read it.  It then iterates the work-group grid; each work-group walks
+  the algorithm's k-loop structure (BA's single loop, PL's
+  prologue/body/epilogue, DB's alternating half-buffers), stages tiles
+  through simulated local-memory arrays when the plan says so,
+  accumulates one matmul per k-step in ownership order, and merges with
+  alpha/beta after un-permuting once through the plan's inverse
+  ownership maps.  Index-arithmetic mistakes anywhere in the stack
+  produce numerically wrong output.
 * ``fast`` — whole-matrix: unpacks the operands from their layouts and
   issues one BLAS-3 call.  Used for large benchmark problems where the
   faithful path's Python-level loops would dominate.
@@ -153,68 +156,83 @@ def _gather_b(plan: KernelPlan, ar: ExecutionArrays, kb: int, nb: int) -> np.nda
 
 
 class _WorkGroup:
-    """State of one simulated work-group: local tiles and accumulators.
+    """State of one simulated work-group: its tiles, local memory and
+    accumulator.
 
     The accumulator is kept in *ownership order*: axis 0 runs over
     (M-lane, owned-element) pairs, axis 1 over (N-lane, owned-element)
     pairs, exactly the private `cpm` register blocks of the emitted
-    kernel concatenated over the work-group.
+    kernel concatenated over the work-group.  The operand tiles arrive
+    in the same order — gathered once per launch through the ownership
+    maps and shared by every work-group that reads them — so each k-step
+    is one plain matmul, and :meth:`merge` un-permutes the accumulator
+    once through the plan's inverse maps.
     """
 
-    def __init__(self, plan: KernelPlan, mb: int, nb: int):
+    def __init__(
+        self,
+        plan: KernelPlan,
+        mb: int,
+        nb: int,
+        a_tiles: list[np.ndarray],
+        b_tiles: list[np.ndarray],
+    ):
         self.plan = plan
         self.mb = mb
         self.nb = nb
+        #: Per k-block (Kwg x Mwg) A and (Kwg x Nwg) B tiles, columns in
+        #: ownership order (the per-work-item private loads).
+        self.a_tiles = a_tiles
+        self.b_tiles = b_tiles
         p = plan.params
-        # Ownership permutations: tile index per (lane, element), flattened.
-        self.rows = plan.row_permutation()
-        self.cols = plan.col_permutation()
         self.acc = np.zeros((p.mwg, p.nwg), dtype=plan.dtype)
         # Simulated local memory (contents only; capacity was checked at
         # build time).  DB keeps two half-height buffers per matrix.
         self.alm: list[np.ndarray] = []
         self.blm: list[np.ndarray] = []
 
+    def tiles(self, kb: int) -> tuple[np.ndarray, np.ndarray]:
+        """The A and B tiles of k-block ``kb``."""
+        return self.a_tiles[kb], self.b_tiles[kb]
+
     def stage(self, which: str, tile: np.ndarray, slot: int = 0) -> None:
-        """Cooperative copy of a (half-)tile into a local buffer slot."""
+        """Cooperative copy of a (half-)tile into a local buffer slot.
+
+        The launch's tiles are private copies that nothing writes, so
+        the slot holds the tile itself rather than another copy.
+        """
         target = self.alm if which == "a" else self.blm
         while len(target) <= slot:
             target.append(np.empty((0, 0), dtype=self.plan.dtype))
-        target[slot] = np.ascontiguousarray(tile)
+        target[slot] = tile
 
     def local(self, which: str, slot: int = 0) -> np.ndarray:
         return (self.alm if which == "a" else self.blm)[slot]
 
     def multiply_add(self, a_tile: np.ndarray, b_tile: np.ndarray) -> None:
-        """acc += a_tile^T @ b_tile through the ownership permutations.
+        """acc += a_tile^T @ b_tile, all three in ownership order.
 
-        ``a_tile`` is (k x Mwg), ``b_tile`` is (k x Nwg).  The columns
-        are gathered in ownership order — the per-work-item private
-        loads of the emitted kernel — and the result is scattered back
-        the same way, so a wrong ownership map corrupts the output.
+        ``a_tile`` is (k x Mwg), ``b_tile`` is (k x Nwg), their columns
+        already permuted by the ownership maps.
         """
-        a_perm = a_tile[:, self.rows]
-        b_perm = b_tile[:, self.cols]
-        self.acc[np.ix_(self.rows, self.cols)] += a_perm.T @ b_perm
+        self.acc += a_tile.T @ b_tile
 
     def merge(self, ar: ExecutionArrays, alpha, beta) -> None:
-        p = self.plan.params
+        """C = alpha * acc + beta * C on this work-group's C tile.
+
+        The plan's inverse ownership maps un-permute the accumulator, so
+        a wrong ownership map corrupts the output.  Slicing clips the
+        tile at the matrix edge: for a guarded kernel that is the
+        bounds-checked store (out-of-range lanes write nothing); an
+        unguarded kernel's tiles are always whole.
+        """
+        plan = self.plan
+        p = plan.params
         r0, c0 = self.mb * p.mwg, self.nb * p.nwg
-        gi = r0 + self.rows
-        gj = c0 + self.cols
-        if p.guard_edges:
-            # Guarded merge: out-of-range lanes write nothing.
-            rsel = gi < ar.M
-            csel = gj < ar.N
-            if not rsel.any() or not csel.any():
-                return
-            cidx = np.ix_(gi[rsel], gj[csel])
-            aidx = np.ix_(self.rows[rsel], self.cols[csel])
-            ar.c[cidx] = alpha * self.acc[aidx] + beta * ar.c[cidx]
-            return
         block = ar.c[r0 : r0 + p.mwg, c0 : c0 + p.nwg]
-        idx = np.ix_(self.rows, self.cols)
-        block[idx] = alpha * self.acc[idx] + beta * block[idx]
+        rows, cols = block.shape
+        acc = self.acc[plan.row_inverse[:rows]][:, plan.col_inverse[:cols]]
+        block[...] = alpha * acc + beta * block
 
 
 def _execute_scalar(plan: KernelPlan, ar: ExecutionArrays, alpha, beta) -> None:
@@ -265,20 +283,27 @@ def _execute_scalar(plan: KernelPlan, ar: ExecutionArrays, alpha, beta) -> None:
 def _execute_workgroups(plan: KernelPlan, ar: ExecutionArrays, alpha, beta) -> None:
     p = plan.params
     grid_m, grid_n = plan.workgroup_grid(ar.M, ar.N)
+    k_blocks = range(_k_blocks(plan, ar.K))
     runner = {
         Algorithm.BA: _run_ba,
         Algorithm.PL: _run_pl,
         Algorithm.DB: _run_db,
     }[p.algorithm]
+    rows = plan.row_permutation()
+    cols = plan.col_permutation()
+    # Every tile is gathered once per launch, in ownership order, and
+    # shared by all work-groups that read it: B tiles for the whole
+    # launch, A tiles for one row of work-groups at a time.
+    b_tiles = [
+        [_gather_b(plan, ar, kb, nb)[:, cols] for kb in k_blocks]
+        for nb in range(grid_n)
+    ]
     for mb in range(grid_m):
+        a_tiles = [_gather_a(plan, ar, kb, mb)[:, rows] for kb in k_blocks]
         for nb in range(grid_n):
-            wg = _WorkGroup(plan, mb, nb)
-            runner(plan, ar, wg)
+            wg = _WorkGroup(plan, mb, nb, a_tiles, b_tiles[nb])
+            runner(plan, wg)
             wg.merge(ar, alpha, beta)
-
-
-def _tiles(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup, kb: int):
-    return _gather_a(plan, ar, kb, wg.mb), _gather_b(plan, ar, kb, wg.nb)
 
 
 def _k_blocks(plan: KernelPlan, K: int) -> int:
@@ -286,11 +311,11 @@ def _k_blocks(plan: KernelPlan, K: int) -> int:
     return -(-K // p.kwg) if p.guard_edges else K // p.kwg
 
 
-def _run_ba(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
+def _run_ba(plan: KernelPlan, wg: _WorkGroup) -> None:
     """Basic algorithm (paper Fig. 4): stage, barrier, compute, barrier."""
     p = plan.params
-    for kb in range(_k_blocks(plan, ar.K)):
-        a_tile, b_tile = _tiles(plan, ar, wg, kb)
+    for kb in range(len(wg.a_tiles)):
+        a_tile, b_tile = wg.tiles(kb)
         if p.shared_a:
             wg.stage("a", a_tile)
             a_src = wg.local("a")
@@ -305,7 +330,7 @@ def _run_ba(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
         wg.multiply_add(a_src, b_src)
 
 
-def _run_pl(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
+def _run_pl(plan: KernelPlan, wg: _WorkGroup) -> None:
     """Software pipelining (paper Fig. 5).
 
     The body computes on the tiles staged in local memory while the
@@ -315,26 +340,21 @@ def _run_pl(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
     """
     p = plan.params
     if not (p.shared_a or p.shared_b):
-        _run_ba(plan, ar, wg)  # degenerate PL (no local memory): same order
+        _run_ba(plan, wg)  # degenerate PL (no local memory): same order
         return
-    n_iter = _k_blocks(plan, ar.K)
+    n_iter = len(wg.a_tiles)
     # Prologue: stage tiles of k-block 0.
-    a_tile, b_tile = _tiles(plan, ar, wg, 0)
+    a_tile, b_tile = wg.tiles(0)
     if p.shared_a:
         wg.stage("a", a_tile)
     if p.shared_b:
         wg.stage("b", b_tile)
-    prefetch_a = prefetch_b = None
     for kb in range(n_iter - 1):
         # Prefetch next tiles into private staging...
-        next_a, next_b = _tiles(plan, ar, wg, kb + 1)
-        if p.shared_a:
-            prefetch_a = np.ascontiguousarray(next_a)
-        if p.shared_b:
-            prefetch_b = np.ascontiguousarray(next_b)
+        prefetch_a, prefetch_b = wg.tiles(kb + 1)
         # ...compute on the currently staged tiles...
-        cur_a = wg.local("a") if p.shared_a else _gather_a(plan, ar, kb, wg.mb)
-        cur_b = wg.local("b") if p.shared_b else _gather_b(plan, ar, kb, wg.nb)
+        cur_a = wg.local("a") if p.shared_a else wg.a_tiles[kb]
+        cur_b = wg.local("b") if p.shared_b else wg.b_tiles[kb]
         wg.multiply_add(cur_a, cur_b)
         # ...barrier; commit the prefetch; barrier.
         if p.shared_a:
@@ -343,12 +363,12 @@ def _run_pl(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
             wg.stage("b", prefetch_b)
     # Epilogue: the last staged tiles.
     last = n_iter - 1
-    cur_a = wg.local("a") if p.shared_a else _gather_a(plan, ar, last, wg.mb)
-    cur_b = wg.local("b") if p.shared_b else _gather_b(plan, ar, last, wg.nb)
+    cur_a = wg.local("a") if p.shared_a else wg.a_tiles[last]
+    cur_b = wg.local("b") if p.shared_b else wg.b_tiles[last]
     wg.multiply_add(cur_a, cur_b)
 
 
-def _run_db(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
+def _run_db(plan: KernelPlan, wg: _WorkGroup) -> None:
     """Double buffering (paper Fig. 6).
 
     Each ``Kwg`` tile is processed as two half-height pieces; while one
@@ -359,7 +379,7 @@ def _run_db(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
     half = p.kwg // 2
 
     def halves(kb: int):
-        a_tile, b_tile = _tiles(plan, ar, wg, kb)
+        a_tile, b_tile = wg.tiles(kb)
         return (
             (a_tile[:half], a_tile[half:]),
             (b_tile[:half], b_tile[half:]),
@@ -370,7 +390,7 @@ def _run_db(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
         b_src = wg.local("b", slot) if p.shared_b else b_half
         wg.multiply_add(a_src, b_src)
 
-    n_iter = _k_blocks(plan, ar.K)
+    n_iter = len(wg.a_tiles)
     # Prologue: fill slot 0 with the first half of k-block 0.
     (a0, a1), (b0, b1) = halves(0)
     if p.shared_a:

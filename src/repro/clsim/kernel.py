@@ -22,6 +22,10 @@ class Kernel:
         self.program = program
         self.name = name
         self._args: Optional[tuple] = None
+        #: Modelled launch costs by (device, M, N, K, noise), filled by
+        #: :meth:`CommandQueue.launch`: the kernel's params never change,
+        #: so each launch shape is modelled once.
+        self.estimates: dict = {}
 
     @property
     def plan(self):

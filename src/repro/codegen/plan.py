@@ -16,6 +16,7 @@ and the staging grids are verified to cover the A/B tiles exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -168,6 +169,17 @@ class KernelPlan:
 
     def col_permutation(self) -> np.ndarray:
         return self.col_owner.reshape(-1)
+
+    @cached_property
+    def row_inverse(self) -> np.ndarray:
+        """Ownership-order position of each C-tile row (inverse of
+        :meth:`row_permutation`), computed once per plan."""
+        return np.argsort(self.row_permutation(), kind="stable")
+
+    @cached_property
+    def col_inverse(self) -> np.ndarray:
+        """Ownership-order position of each C-tile column."""
+        return np.argsort(self.col_permutation(), kind="stable")
 
 
 def build_plan(params: KernelParams) -> KernelPlan:

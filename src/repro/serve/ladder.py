@@ -39,6 +39,10 @@ from repro.gemm.routine import GemmRoutine, predict_implementation
 
 __all__ = ["Rung", "DegradationLadder"]
 
+#: Shapes one rung remembers predictions for; past this many the memo
+#: starts over, so a stream of distinct shapes cannot grow it unbounded.
+_PREDICT_MEMO_SIZE = 4096
+
 
 class Rung:
     """One ladder step: a named way to compute a GEMM.
@@ -67,6 +71,9 @@ class Rung:
         self._routine: Optional[GemmRoutine] = None
         self.spec = spec
         self.host_gflops = host_gflops
+        #: ``predict_s`` results by (M, N, K): spec and params are fixed
+        #: for the rung's lifetime, so each shape is modelled once.
+        self._predicted: Dict[tuple, float] = {}
 
     @property
     def key(self) -> str:
@@ -98,9 +105,15 @@ class Rung:
         """Modelled service time of this rung for one problem."""
         if self.is_reference:
             return 2.0 * M * N * K / (self.host_gflops * 1e9)
-        return predict_implementation(
-            self.spec, self.params, M, N, K, noise=False
-        ).total_s
+        key = (M, N, K)
+        seconds = self._predicted.get(key)
+        if seconds is None:
+            if len(self._predicted) >= _PREDICT_MEMO_SIZE:
+                self._predicted.clear()
+            seconds = self._predicted[key] = predict_implementation(
+                self.spec, self.params, M, N, K, noise=False
+            ).total_s
+        return seconds
 
     def call(self, a, b, c, alpha, beta, transa, transb, injector=None):
         """Compute the GEMM through this rung; returns (c, seconds)."""

@@ -7,31 +7,49 @@ reproduce ``alpha * A^T B + beta * C`` exactly — through the real index
 structure (ownership permutations, tile gathers, staged halves).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.clsim.executor import ExecutionArrays, execute_plan
+from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import pack_matrix
 from repro.codegen.plan import build_plan
 from repro.errors import LaunchError
 
-from tests.conftest import PARAM_MATRIX, make_params
+from tests.conftest import PARAM_MATRIX, make_params, param_id
 
 
-def _run(params, M, N, K, alpha=1.5, beta=-0.5, mode="workgroup", seed=0):
+def _operands(params, M, N, K, seed=0):
+    """Unpadded row-major ``at`` (K x M), ``b`` (K x N) and ``c``."""
     rng = np.random.default_rng(seed)
     dtype = np.float64 if params.precision == "d" else np.float32
     at = rng.standard_normal((K, M)).astype(dtype)
     b = rng.standard_normal((K, N)).astype(dtype)
     c = rng.standard_normal((M, N)).astype(dtype)
-    a_flat = pack_matrix(at, params.layout_a, params.kwg, params.mwg)
-    b_flat = pack_matrix(b, params.layout_b, params.kwg, params.nwg)
+    return at, b, c
+
+
+def _run_plan(plan, at, b, c, alpha, beta, mode="workgroup"):
+    """Run ``plan`` on the operands, packed into the plan's layouts."""
+    p = plan.params
+    (K, M), N = at.shape, b.shape[1]
+    if p.guard_edges:  # guarded kernels read the unpadded operands
+        a_flat, b_flat = at.reshape(-1).copy(), b.reshape(-1).copy()
+    else:
+        a_flat = pack_matrix(at, p.layout_a, p.kwg, p.mwg)
+        b_flat = pack_matrix(b, p.layout_b, p.kwg, p.nwg)
     c_flat = c.reshape(-1).copy()
-    plan = build_plan(params)
     arrays = ExecutionArrays(plan, a_flat, b_flat, c_flat, M, N, K)
     execute_plan(plan, arrays, alpha, beta, mode=mode)
-    expected = alpha * (at.T @ b) + beta * c
-    return c_flat.reshape(M, N), expected
+    return c_flat.reshape(M, N)
+
+
+def _run(params, M, N, K, alpha=1.5, beta=-0.5, mode="workgroup", seed=0):
+    at, b, c = _operands(params, M, N, K, seed=seed)
+    got = _run_plan(build_plan(params), at, b, c, alpha, beta, mode=mode)
+    return got, alpha * (at.T @ b) + beta * c
 
 
 @pytest.mark.parametrize("params", PARAM_MATRIX, ids=lambda p: p.summary()[:48])
@@ -140,3 +158,92 @@ class TestScalarGoldStandard:
                              vw=2, mwg=32, nwg=32)
         got, expected = _run(params, 64, 32, 16, mode="scalar")
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def _serve_sizes(params):
+    """Serve-sized problems; guarded kernels also get ragged edges."""
+    p = params
+    k0 = p.algorithm.min_k_iterations * p.kwg
+    sizes = [(p.mwg, p.nwg, k0), (2 * p.mwg, 3 * p.nwg, k0 + 2 * p.kwg)]
+    if p.guard_edges:
+        sizes += [(p.mwg + 3, 2 * p.nwg - 5, p.kwg + 1), (5, 7, 3), (100, 37, 77)]
+    return sizes
+
+
+def _reference_workgroups(params, at, b, c, alpha, beta):
+    """Per-work-group accumulation in k order, one matmul per k-tile.
+
+    Each work-group sums ``at[k-tile, tile].T @ b[k-tile, tile]`` over its
+    k-tiles in order (DB: each tile as its two halves), over zero-padded
+    operands, then merges with alpha/beta on its in-range part.
+    """
+    p = params
+    (K, M), N = at.shape, b.shape[1]
+    gm, gn, gk = -(-M // p.mwg), -(-N // p.nwg), -(-K // p.kwg)
+    atp = np.zeros((gk * p.kwg, gm * p.mwg), dtype=at.dtype)
+    atp[:K, :M] = at
+    bp = np.zeros((gk * p.kwg, gn * p.nwg), dtype=b.dtype)
+    bp[:K, :N] = b
+    step = p.kwg // 2 if p.algorithm is Algorithm.DB else p.kwg
+    out = c.copy()
+    for mb in range(gm):
+        ms = slice(mb * p.mwg, (mb + 1) * p.mwg)
+        for nb in range(gn):
+            ns = slice(nb * p.nwg, (nb + 1) * p.nwg)
+            acc = np.zeros((p.mwg, p.nwg), dtype=at.dtype)
+            for k0 in range(0, gk * p.kwg, step):
+                ks = slice(k0, k0 + step)
+                acc += atp[ks, ms].T @ bp[ks, ns]
+            block = out[ms, ns]
+            rows, cols = block.shape
+            block[...] = alpha * acc[:rows, :cols] + beta * block
+    return out
+
+
+class TestBitwiseSummationOrder:
+    """The workgroup path's summation order is pinned bit for bit: served
+    results (and so ``BENCH_serving.json``) depend on it."""
+
+    @pytest.mark.parametrize("params", PARAM_MATRIX,
+                             ids=lambda p: p.summary()[:48])
+    def test_workgroup_matches_per_tile_reference_bitwise(self, params):
+        plan = build_plan(params)
+        for seed, (M, N, K) in enumerate(_serve_sizes(params)):
+            at, b, c = _operands(params, M, N, K, seed=seed)
+            got = _run_plan(plan, at, b, c, 1.5, -0.5)
+            want = _reference_workgroups(params, at, b, c, 1.5, -0.5)
+            assert np.array_equal(got, want), (M, N, K)
+
+
+_TAMPER_PARAMS = [
+    make_params(guard_edges=guard, **extra)
+    for guard in (False, True)
+    for extra in (
+        {},
+        dict(algorithm=Algorithm.PL, shared_a=True, shared_b=True),
+        dict(algorithm=Algorithm.DB, shared_a=True, shared_b=True),
+    )
+]
+
+
+class TestOwnershipTamper:
+    """A wrong ownership map corrupts the output: the accumulator stays in
+    ownership order and is un-permuted only at the merge."""
+
+    @pytest.mark.parametrize("axis", ["row_owner", "col_owner"])
+    @pytest.mark.parametrize("params", _TAMPER_PARAMS, ids=param_id)
+    def test_duplicated_lane_gives_wrong_output(self, params, axis):
+        plan = build_plan(params)
+        owner = getattr(plan, axis).copy()
+        owner[1] = owner[0]  # lane 1 claims lane 0's elements
+        tampered = dataclasses.replace(plan, **{axis: owner})
+        M, N = 2 * params.mwg, params.nwg
+        K = params.algorithm.min_k_iterations * params.kwg
+        if params.guard_edges:
+            M, N, K = M + 3, N + 5, K - 1  # ragged edges past the first tile
+        at, b, c = _operands(params, M, N, K)
+        good = _run_plan(plan, at, b, c, 1.5, -0.5)
+        np.testing.assert_allclose(good, 1.5 * (at.T @ b) - 0.5 * c,
+                                   rtol=1e-12, atol=1e-12)
+        bad = _run_plan(tampered, at, b, c, 1.5, -0.5)
+        assert not np.allclose(bad, good)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import repro.clsim as cl
+import repro.clsim.queue as queue_mod
+from repro.clsim.faults import FaultInjector, FaultPlan
 from repro.clsim.queue import ExecutionMode
 from repro.codegen.emitter import emit_kernel_source
 from repro.codegen.layouts import pack_matrix
@@ -130,6 +132,63 @@ class TestExecutionAndProfiling:
             kern.set_args(16, 16, 16, 1.0, 0.0, a, b, c)
             durations.append(queue.launch(kern, (4, 4), (4, 4)).profile.duration)
         assert durations[0] == durations[1]
+
+
+class TestEstimateMemo:
+    """The bound kernel memoizes its modelled launch cost; events must not
+    tell whether an estimate came from the memo."""
+
+    SHAPES = [(16, 16, 16), (32, 16, 16), (16, 16, 16), (32, 32, 48),
+              (32, 16, 16), (16, 16, 16), (32, 32, 48), (16, 16, 16)]
+
+    def _events(self, noise, memo):
+        queue, kern, _, (a, b, c), ctx = _setup(
+            measurement_noise=noise, execution_mode=ExecutionMode.TIMING_ONLY
+        )
+        ctx.fault_injector = FaultInjector(FaultPlan.parse("timing:0.5", seed=3))
+        events = []
+        for M, N, K in self.SHAPES:
+            kern.set_args(M, N, K, 1.0, 0.0, a, b, c)
+            if not memo:
+                kern.estimates.clear()
+            events.append(queue.launch(kern, kern.expected_global_size(), (4, 4)))
+        assert len(kern.estimates) == (3 if memo else 1)
+        return events
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_same_profiles_and_breakdowns_with_and_without_memo(self, noise):
+        with_memo = self._events(noise, memo=True)
+        without = self._events(noise, memo=False)
+        assert [e.profile for e in with_memo] == [e.profile for e in without]
+        assert [e.breakdown for e in with_memo] == [e.breakdown for e in without]
+        # The timing fault scales some launches, after the lookup.
+        spiked = [e for e in with_memo
+                  if e.profile.duration != round(e.breakdown.total_seconds * 1e9)]
+        assert 0 < len(spiked) < len(with_memo)
+
+    def test_noise_setting_is_part_of_the_key(self):
+        queue, kern, _, (a, b, c), _ = _setup(
+            execution_mode=ExecutionMode.TIMING_ONLY
+        )
+        kern.set_args(16, 16, 16, 1.0, 0.0, a, b, c)
+        noisy = queue.launch(kern, (4, 4), (4, 4)).breakdown
+        queue.measurement_noise = False
+        clean = queue.launch(kern, (4, 4), (4, 4)).breakdown
+        assert noisy.total_seconds != clean.total_seconds
+        assert len(kern.estimates) == 2
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(queue_mod, "_ESTIMATE_MEMO_SIZE", 2)
+        queue, kern, _, (a, b, c), _ = _setup(
+            execution_mode=ExecutionMode.TIMING_ONLY
+        )
+        for n in (16, 32, 48, 64, 16):
+            kern.set_args(n, n, n, 1.0, 0.0, a, b, c)
+            event = queue.launch(kern, kern.expected_global_size(), (4, 4))
+            assert event.breakdown == queue_mod.estimate_kernel_time(
+                queue.device.spec, kern.params, n, n, n
+            )
+            assert len(kern.estimates) <= 2
 
 
 class TestQuirks:
