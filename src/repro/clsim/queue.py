@@ -8,16 +8,15 @@ real device, which is what the auto-tuner measures.
 
 Execution modes
 ---------------
-``WORKGROUP``   faithful per-work-group execution (default for problems
-                up to ``workgroup_mode_limit`` multiply-add operations);
-``FAST``        whole-matrix numpy execution (identical results, used
-                for large benchmark sizes);
-``TIMING_ONLY`` skip the numerics entirely and only charge model time —
-                the tuner's stage-1 sweep over thousands of candidates
-                uses this, then functionally verifies the finalists,
-                mirroring how a real tuner trusts the device to compute
-                and only checks the winners.
+``WORKGROUP``   per-work-group execution in the kernel's summation
+                order (default for problems up to ``2**26``
+                multiply-adds);
+``FAST``        whole-matrix numpy execution (same GEMM to rounding,
+                used for large benchmark sizes);
 ``AUTO``        pick WORKGROUP or FAST by problem size.
+
+Both modes compute values only; local-memory staging and barriers are
+modelled by :mod:`repro.spec`, which interprets the emitted source.
 """
 
 from __future__ import annotations
@@ -56,12 +55,14 @@ __all__ = [
 #: memo starts over, so a stream of distinct shapes cannot grow it unbounded.
 _ESTIMATE_MEMO_SIZE = 4096
 
+#: Problems with more multiply-adds than this run the fast path under AUTO.
+_WORKGROUP_MODE_LIMIT = 1 << 26
+
 
 class ExecutionMode(enum.Enum):
     AUTO = "auto"
     WORKGROUP = "workgroup"
     FAST = "fast"
-    TIMING_ONLY = "timing_only"
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,6 @@ class CommandQueue:
         device: Optional[Device] = None,
         profiling: bool = True,
         execution_mode: ExecutionMode = ExecutionMode.AUTO,
-        workgroup_mode_limit: int = 1 << 26,
         measurement_noise: bool = True,
         out_of_order: bool = False,
     ):
@@ -130,9 +130,6 @@ class CommandQueue:
             )
         self.profiling = profiling
         self.execution_mode = execution_mode
-        #: Problems with more multiply-adds than this fall back from the
-        #: faithful work-group path to the fast path under AUTO.
-        self.workgroup_mode_limit = workgroup_mode_limit
         self.measurement_noise = measurement_noise
         #: CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE analogue: commands on
         #: different engines (compute vs DMA) may overlap in simulated
@@ -171,7 +168,7 @@ class CommandQueue:
     def _resolve_mode(self, M: int, N: int, K: int) -> ExecutionMode:
         if self.execution_mode is not ExecutionMode.AUTO:
             return self.execution_mode
-        if M * N * K <= self.workgroup_mode_limit:
+        if M * N * K <= _WORKGROUP_MODE_LIMIT:
             return ExecutionMode.WORKGROUP
         return ExecutionMode.FAST
 
@@ -235,16 +232,15 @@ class CommandQueue:
                 spec, params, M, N, K, noise=self.measurement_noise
             )
 
-        mode = self._resolve_mode(M, N, K)
-        if mode is not ExecutionMode.TIMING_ONLY:
-            arrays = ExecutionArrays(
-                kernel.plan, agm.flat_array, bgm.flat_array, cgm.flat_array, M, N, K
-            )
-            execute_plan(
-                kernel.plan, arrays, alpha, beta, mode=mode.value,
-                injector=injector, device=self.device.codename,
-                fault_key=fault_key,
-            )
+        arrays = ExecutionArrays(
+            kernel.plan, agm.flat_array, bgm.flat_array, cgm.flat_array, M, N, K
+        )
+        execute_plan(
+            kernel.plan, arrays, alpha, beta,
+            mode=self._resolve_mode(M, N, K).value,
+            injector=injector, device=self.device.codename,
+            fault_key=fault_key,
+        )
 
         start, end = self._advance(
             breakdown.total_seconds * seconds_factor,
@@ -268,13 +264,11 @@ class CommandQueue:
             transpose=plan.transpose,
             block_major=plan.layout.is_block_major,
         )
-        mode = self._resolve_mode(src_rows, src_cols, 1)
-        if mode is not ExecutionMode.TIMING_ONLY:
-            packed = plan.execute(
-                src.array.view(plan.dtype)[: src_rows * src_cols],
-                src_rows, src_cols, k_padded, x_padded,
-            )
-            dst.array[:] = packed.view(dst.dtype)
+        packed = plan.execute(
+            src.array.view(plan.dtype)[: src_rows * src_cols],
+            src_rows, src_cols, k_padded, x_padded,
+        )
+        dst.array[:] = packed.view(dst.dtype)
         start, end = self._advance(seconds, engine="compute", wait_for=wait_for)
         return Event("pack_kernel", EventProfile(start, start, start, end))
 

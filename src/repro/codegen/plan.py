@@ -1,16 +1,17 @@
 """Executable kernel plans.
 
-A :class:`KernelPlan` is the structured, executable mirror of an emitted
-OpenCL kernel: it precomputes the work-item ownership maps (which C
-elements each work-item accumulates, under unit or non-unit stride), the
-local-memory staging geometry, and the loop structure for the chosen
-algorithm.  The OpenCL simulator (:mod:`repro.clsim`) executes plans; the
-emitter embeds the plan's parameters in the kernel source so the
-simulator's "compiler" can reconstruct it.
+A :class:`KernelPlan` is what the OpenCL simulator (:mod:`repro.clsim`)
+executes for an emitted kernel: its parameters, plus the precomputed
+work-item ownership maps (which C elements each work-item accumulates,
+under unit or non-unit stride) and their inverses.  The emitter embeds
+the parameters in the kernel source so the simulator's "compiler" can
+reconstruct the plan.
 
-Building a plan *proves* structural correctness of the parameter vector:
-the ownership maps are verified to be exact bijections onto the C tile,
-and the staging grids are verified to cover the A/B tiles exactly once.
+Building a plan verifies that both ownership maps are exact bijections
+onto the C tile.  The local-memory staging grids need no plan-level
+check: :class:`~repro.codegen.params.KernelParams` already rejects any
+reshape that does not tile the A/B tiles, and :mod:`repro.spec` models
+the staging itself from the source text.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.codegen.algorithms import Algorithm
 from repro.codegen.params import KernelParams
 from repro.errors import LaunchError, ParameterError
 
@@ -60,40 +60,6 @@ def _verify_bijection(owner: np.ndarray, extent: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class StagingGeometry:
-    """How a work-group cooperatively loads one tile into local memory.
-
-    The work-group's ``wg_size`` work-items are reshaped into a
-    ``dim_major x dim_k`` grid (paper Section III-C); each work-item
-    loads a ``wi_major x wi_k`` sub-tile.  The grid tiles the
-    ``extent_k x extent_major`` tile exactly (verified at construction).
-    """
-
-    dim_major: int
-    dim_k: int
-    wi_major: int
-    wi_k: int
-    extent_major: int
-    extent_k: int
-
-    def __post_init__(self) -> None:
-        if self.dim_major * self.wi_major != self.extent_major:
-            raise ParameterError(
-                f"staging grid does not cover tile width: "
-                f"{self.dim_major} x {self.wi_major} != {self.extent_major}"
-            )
-        if self.dim_k * self.wi_k != self.extent_k:
-            raise ParameterError(
-                f"staging grid does not cover tile height: "
-                f"{self.dim_k} x {self.wi_k} != {self.extent_k}"
-            )
-
-    @property
-    def loads_per_workitem(self) -> int:
-        return self.wi_major * self.wi_k
-
-
-@dataclass(frozen=True)
 class KernelPlan:
     """Executable description of one generated GEMM kernel."""
 
@@ -102,18 +68,10 @@ class KernelPlan:
     row_owner: np.ndarray
     #: (ndimc, nwi) map: C-tile column owned by lane j, element b.
     col_owner: np.ndarray
-    #: Staging geometry for A when ``shared_a`` (else None).
-    staging_a: StagingGeometry | None
-    #: Staging geometry for B when ``shared_b`` (else None).
-    staging_b: StagingGeometry | None
 
     @property
     def dtype(self) -> np.dtype:
         return np.dtype(np.float32 if self.params.precision == "s" else np.float64)
-
-    @property
-    def algorithm(self) -> Algorithm:
-        return self.params.algorithm
 
     # ------------------------------------------------------------------
     def workgroup_grid(self, M: int, N: int) -> Tuple[int, int]:
@@ -188,31 +146,4 @@ def build_plan(params: KernelParams) -> KernelPlan:
     col_owner = ownership_map(params.ndimc, params.nwi, params.vw, params.stride.n)
     _verify_bijection(row_owner, params.mwg, "row (M)")
     _verify_bijection(col_owner, params.nwg, "column (N)")
-
-    staging_a = None
-    if params.shared_a:
-        staging_a = StagingGeometry(
-            dim_major=params.effective_mdima,
-            dim_k=params.kdima,
-            wi_major=params.mwia,
-            wi_k=params.kwia,
-            extent_major=params.mwg,
-            extent_k=params.kwg,
-        )
-    staging_b = None
-    if params.shared_b:
-        staging_b = StagingGeometry(
-            dim_major=params.effective_ndimb,
-            dim_k=params.kdimb,
-            wi_major=params.nwib,
-            wi_k=params.kwib,
-            extent_major=params.nwg,
-            extent_k=params.kwg,
-        )
-    return KernelPlan(
-        params=params,
-        row_owner=row_owner,
-        col_owner=col_owner,
-        staging_a=staging_a,
-        staging_b=staging_b,
-    )
+    return KernelPlan(params=params, row_owner=row_owner, col_owner=col_owner)

@@ -393,10 +393,13 @@ class TestCatalogAndCli:
         assert all(desc for _, desc in catalog)
 
     def test_cli_lint_reports_clean_tree(self, tmp_path, capsys):
+        # A clean fixture tree; the whole-package scan is TestTreeGate's.
         from repro.cli import main
 
+        clean = tmp_path / "repro_fixture.py"
+        clean.write_text("import time\n\n\ndef pause():\n    time.sleep(0)\n")
         out_json = str(tmp_path / "lint.json")
-        assert main(["lint", "--json", out_json]) == 0
+        assert main(["lint", str(clean), "--json", out_json]) == 0
         report = json.loads(open(out_json).read())
         assert report["format"] == "repro-host-lint/1"
         assert report["ok"] is True

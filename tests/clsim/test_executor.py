@@ -4,7 +4,7 @@ The central correctness property of the whole stack: for every
 combination of algorithm, layouts, stride modes, vector widths and
 local-memory staging in the parameter matrix, the executed kernel must
 reproduce ``alpha * A^T B + beta * C`` exactly — through the real index
-structure (ownership permutations, tile gathers, staged halves).
+structure (ownership permutations, tile gathers, DB's half-tile steps).
 """
 
 import dataclasses
@@ -15,8 +15,11 @@ import pytest
 from repro.clsim.executor import ExecutionArrays, execute_plan
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import pack_matrix
+from repro.codegen.params import StrideMode
 from repro.codegen.plan import build_plan
 from repro.errors import LaunchError
+from repro.spec.differential import classify_program
+from repro.spec.enumerate import SpecProgram
 
 from tests.conftest import PARAM_MATRIX, make_params, param_id
 
@@ -140,24 +143,30 @@ class TestValidation:
             execute_plan(plan, arrays, 1.0, 0.0, mode="warp")
 
 
-class TestScalarGoldStandard:
-    """Differential testing: the per-work-item interpreter vs the
-    vectorised executor, across the whole parameter matrix."""
+class TestSpecAgreement:
+    """Differential testing against the executable spec: the emitted
+    source, interpreted work-item by work-item with local memory and
+    barriers, agrees with this executor and numpy across the whole
+    parameter matrix."""
+
+    @staticmethod
+    def _assert_agrees(params, shape):
+        program = SpecProgram(index=0, params=params, shape=shape,
+                              alpha=1.5, beta=-0.5)
+        record = classify_program(program)
+        assert record.classification == "agree", \
+            f"{record.description}: {record.classification} {record.detail}"
 
     @pytest.mark.parametrize("params", PARAM_MATRIX,
                              ids=lambda p: p.summary()[:48])
-    def test_scalar_matches_workgroup(self, params):
-        M, N = params.mwg, params.nwg
+    def test_spec_agrees_at_minimal_launch(self, params):
         K = params.algorithm.min_k_iterations * params.kwg
-        got_scalar, _ = _run(params, M, N, K, mode="scalar")
-        got_wg, _ = _run(params, M, N, K, mode="workgroup")
-        np.testing.assert_allclose(got_scalar, got_wg, rtol=1e-6, atol=1e-6)
+        self._assert_agrees(params, (params.mwg, params.nwg, K))
 
-    def test_scalar_matches_reference_multi_tile(self):
-        params = make_params(stride=make_params().stride.__class__(m=True, n=True),
+    def test_spec_agrees_multi_tile(self):
+        params = make_params(stride=StrideMode(m=True, n=True),
                              vw=2, mwg=32, nwg=32)
-        got, expected = _run(params, 64, 32, 16, mode="scalar")
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        self._assert_agrees(params, (64, 32, 16))
 
 
 def _serve_sizes(params):

@@ -1,9 +1,11 @@
 """Program building: the simulator's compiler front-end."""
 
+import numpy as np
 import pytest
 
 import repro.clsim as cl
 from repro.codegen.emitter import emit_kernel_source
+from repro.codegen.plan import build_plan
 from repro.errors import BuildError, ResourceError
 
 from tests.conftest import make_params
@@ -28,7 +30,10 @@ class TestBuildSuccess:
         p = make_params(shared_b=True)
         prog = cl.Program(_ctx(), emit_kernel_source(p)).build()
         assert prog.params == p
-        assert prog.plan.staging_b is not None
+        assert prog.plan.params == p
+        plan = build_plan(p)
+        np.testing.assert_array_equal(prog.plan.row_owner, plan.row_owner)
+        np.testing.assert_array_equal(prog.plan.col_owner, plan.col_owner)
 
     def test_build_log_reports_residency(self):
         prog = cl.Program(_ctx(), emit_kernel_source(make_params())).build()

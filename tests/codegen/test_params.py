@@ -63,6 +63,15 @@ class TestValidation:
         with pytest.raises(ParameterError, match="mwg"):
             make_params(shared_a=True, mdima=16, mwg=24, mdimc=4, ndimc=4)
 
+    def test_staging_grid_must_cover_the_tile(self):
+        # The loader grid must tile Kwg x Mwg (A) and Kwg x Nwg (B) exactly.
+        with pytest.raises(ParameterError, match="kdima"):
+            make_params(shared_a=True, mdima=4, kwg=6)  # kdima=4
+        with pytest.raises(ParameterError, match="kdimb"):
+            make_params(shared_b=True, ndimb=4, kwg=6)  # kdimb=4
+        with pytest.raises(ParameterError, match="ndimb"):
+            make_params(shared_b=True, ndimb=16, nwg=24)
+
     def test_staging_params_canonicalised_when_not_shared(self):
         p = make_params(shared_a=False, mdima=8)
         assert p.mdima == 0

@@ -1,12 +1,12 @@
-"""Plan construction: ownership maps, staging geometry, launch checks."""
+"""Plan construction: ownership maps, launch checks."""
 
 import numpy as np
 import pytest
 
 from repro.codegen.algorithms import Algorithm
-from repro.codegen.plan import StagingGeometry, build_plan, ownership_map
+from repro.codegen.plan import build_plan, ownership_map
 from repro.codegen.params import StrideMode
-from repro.errors import LaunchError, ParameterError
+from repro.errors import LaunchError
 
 from tests.conftest import PARAM_MATRIX, make_params
 
@@ -40,23 +40,6 @@ class TestOwnershipMap:
         np.testing.assert_array_equal(flat, np.arange(dim * wi))
 
 
-class TestStagingGeometry:
-    def test_valid_geometry(self):
-        g = StagingGeometry(dim_major=8, dim_k=2, wi_major=4, wi_k=4,
-                            extent_major=32, extent_k=8)
-        assert g.loads_per_workitem == 16
-
-    def test_rejects_uncovered_width(self):
-        with pytest.raises(ParameterError, match="width"):
-            StagingGeometry(dim_major=8, dim_k=2, wi_major=3, wi_k=4,
-                            extent_major=32, extent_k=8)
-
-    def test_rejects_uncovered_height(self):
-        with pytest.raises(ParameterError, match="height"):
-            StagingGeometry(dim_major=8, dim_k=2, wi_major=4, wi_k=3,
-                            extent_major=32, extent_k=8)
-
-
 class TestBuildPlan:
     @pytest.mark.parametrize("params", PARAM_MATRIX, ids=lambda p: p.summary()[:40])
     def test_all_matrix_entries_build(self, params):
@@ -65,9 +48,14 @@ class TestBuildPlan:
         assert sorted(plan.col_permutation()) == list(range(params.nwg))
 
     def test_staging_only_when_shared(self):
-        plan = build_plan(make_params(shared_a=True))
-        assert plan.staging_a is not None
-        assert plan.staging_b is None
+        params = make_params(shared_a=True, ndimb=2)
+        plan = build_plan(params)
+        assert plan.params is params
+        # B is not staged, so its staging reshape is canonicalised away.
+        assert plan.params.effective_mdima == params.mdimc
+        assert plan.params.ndimb == 0
+        assert plan.row_owner.shape == (params.mdimc, params.mwi)
+        assert plan.col_owner.shape == (params.ndimc, params.nwi)
 
     def test_dtype_tracks_precision(self):
         assert build_plan(make_params(precision="s")).dtype == np.float32
